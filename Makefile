@@ -1,7 +1,8 @@
 GO ?= go
 
 .PHONY: check fmt vet gcvet build test bench lint cluster-race cluster-demo chaos crash-demo \
-	fleet-race fleet-demo fleet-gray-race bench-fleet journal-race journal-compact-race bench-journal
+	fleet-race fleet-demo fleet-gray-race bench-fleet journal-race journal-compact-race bench-journal \
+	perfbench-test
 
 # check is the full gate: formatting, vet, build, the race-enabled
 # test suite, and the GCL linter over the example programs. CI and
@@ -60,6 +61,12 @@ lint:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# perfbench-test vets and tests the benchmark driver. perfbench is its
+# own Go module (replace repro => ../), so the root ./... never builds
+# it; this target catches an API change here that breaks the driver.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # cluster-race gives the message-passing runtime a dedicated
 # race-detector pass: it is the most concurrent code in the repository

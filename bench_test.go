@@ -17,6 +17,8 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/gcl"
+	"repro/internal/gcl/analysis"
 	"repro/internal/mc"
 	"repro/internal/ring"
 	"repro/internal/service"
@@ -104,8 +106,10 @@ func BenchmarkFairStabilizationCheck(b *testing.B) {
 
 // BenchmarkEnumerate measures guarded-command enumeration into automata.
 func BenchmarkEnumerate(b *testing.B) {
+	b.ReportAllocs()
 	for _, n := range []int{3, 5, 7} {
 		b.Run(fmt.Sprintf("Dijkstra3/N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			t := ring.NewThreeState(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -115,6 +119,7 @@ func BenchmarkEnumerate(b *testing.B) {
 	}
 	for _, n := range []int{3, 5} {
 		b.Run(fmt.Sprintf("BTR/N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			r := ring.NewBTR(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -275,7 +280,10 @@ func BenchmarkReachability(b *testing.B) {
 	}
 }
 
-// BenchmarkGCLCompile measures the guarded-command pipeline end to end.
+// BenchmarkGCLCompile measures the guarded-command pipeline end to end,
+// then the two enumerations a cold checkd request pays — CompileProgram
+// and the lint exact tier — on the ring programs of the cold-ring
+// benchmark workload.
 func BenchmarkGCLCompile(b *testing.B) {
 	const src = `
 var c0 : 0..2;
@@ -290,10 +298,39 @@ action up2: c1 == (c2 + 1) % 3 -> c2 := c1;
 action dn2: c3 == (c2 + 1) % 3 -> c2 := c3;
 action top: c2 == c0 && (c2 + 1) % 3 != c3 -> c3 := (c2 + 1) % 3;
 `
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := repro.CompileGCL("bench", src); err != nil {
 			b.Fatal(err)
 		}
+	}
+	rings := []struct{ name, src string }{
+		{"D3/N=7", ring.Dijkstra3GCL(7)},
+		{"aggressive/N=7", ring.AggressiveThreeGCL(7)},
+		{"kstate/N=5,K=5", ring.KStateGCL(5, 5)},
+	}
+	for _, r := range rings {
+		prog, err := gcl.Parse(r.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("compile/"+r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := gcl.CompileProgram("program", prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("lint/"+r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := analysis.Analyze(prog, analysis.Options{Exact: true, ExactStateLimit: 1 << 20})
+				if err != nil || !res.Exact {
+					b.Fatalf("lint: exact=%v err=%v", res != nil && res.Exact, err)
+				}
+			}
+		})
 	}
 }
 

@@ -22,6 +22,8 @@ type slowBackend struct {
 
 func (s *slowBackend) ReadAll() ([]byte, error) { return s.mem.ReadAll() }
 
+func (s *slowBackend) ReadAt(p []byte, off int64) (int, error) { return s.mem.ReadAt(p, off) }
+
 func (s *slowBackend) Append(b []byte) error {
 	time.Sleep(s.delay)
 	s.mu.Lock()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/journal"
 )
@@ -111,7 +112,11 @@ func killMidCompactionRows(r *Report) {
 			return
 		}
 		st := re.ReplayStats()
-		events := re.Events(0)
+		events, err := re.Read(0, math.MaxUint64, 0)
+		if err != nil {
+			r.Rows = append(r.Rows, Row{Name: "kill " + arm + ": read", Detail: err.Error()})
+			return
+		}
 		// Before the swap the old file stands (all 10 events); after it
 		// the new file stands (the suffix above the horizon). Either way:
 		// zero corruption, and every event above the covered prefix — the

@@ -14,9 +14,10 @@ import (
 // their confidence to exact, often with a witness state), downgrades
 // "may" warnings that no concrete state realizes, and contributes the
 // diagnostics that need real reachability (GCL004) or co-enabledness
-// (GCL007). The sweep mirrors gcl.CompileProgram's loop but tolerates
-// the defects compilation rejects: an out-of-domain assignment
-// becomes a diagnostic with a witness instead of a fatal error.
+// (GCL007). The sweep walks the same lowered program as
+// gcl.CompileProgram but tolerates the defects compilation rejects: an
+// out-of-domain assignment becomes a diagnostic with a witness instead
+// of a fatal error.
 
 // exactFacts aggregates everything one sweep learns.
 type exactFacts struct {
@@ -30,7 +31,8 @@ type exactFacts struct {
 	stutters   []bool      // per action: identity in every enabled state
 	escapes    []escapeSet // per action
 	guardError []int       // per action: states where guard evaluation errors
-	overlaps   map[[2]int]*overlap
+	// overlaps is dense over action pairs: overlaps[i*numA+j] for i < j.
+	overlaps []overlap
 }
 
 type escapeSet struct {
@@ -48,54 +50,71 @@ type overlap struct {
 // It returns nil facts when the budget runs out: partial sweeps prove
 // nothing.
 func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
-	sp := gcl.SpaceOf(prog)
+	l, err := gcl.Lower(prog)
+	if err != nil {
+		return nil, err
+	}
+	sp := l.Space
 	n := sp.Size()
-	numA := len(prog.Actions)
+	numA := len(l.Actions)
+	// The per-action and per-assignment tallies share a few backing
+	// arrays: the sweep's allocations stay a handful whatever the program.
+	counts := make([]int, 3*numA)
+	nAssigns := 0
+	for ai := range l.Actions {
+		nAssigns += len(l.Actions[ai].Assigns)
+	}
+	escapeCounts := make([]int, 2*nAssigns)
 	f := &exactFacts{
 		states:     n,
 		space:      sp,
-		enabled:    make([]int, numA),
-		reachEnab:  make([]int, numA),
+		enabled:    counts[:numA:numA],
+		reachEnab:  counts[numA : 2*numA : 2*numA],
+		guardError: counts[2*numA:],
 		stutters:   make([]bool, numA),
 		escapes:    make([]escapeSet, numA),
-		guardError: make([]int, numA),
-		overlaps:   make(map[[2]int]*overlap),
+		overlaps:   make([]overlap, numA*numA),
 	}
-	for ai := range prog.Actions {
+	for ai := range l.Actions {
 		f.stutters[ai] = true
-		f.escapes[ai] = escapeSet{
-			count:   make([]int, len(prog.Actions[ai].Assigns)),
-			witness: make([]int, len(prog.Actions[ai].Assigns)),
-		}
+		k := len(l.Actions[ai].Assigns)
+		f.escapes[ai] = escapeSet{count: escapeCounts[:k:k], witness: escapeCounts[k : 2*k : 2*k]}
+		escapeCounts = escapeCounts[2*k:]
 	}
 
-	// Successor lists are needed only for reachability.
-	var succ [][]int32
+	// Initial states are marked reachable and pushed on the search stack
+	// as the sweep meets them.
+	var off []int
+	var succ []int32
+	var stack []int32
 	if prog.Init != nil {
-		succ = make([][]int32, n)
+		off = make([]int, n+1)
+		succ = make([]int32, 0, min(n*numA, gcl.MaxEdgeHintBytes/4))
+		f.reachable = make([]bool, n)
+		stack = make([]int32, 0, n)
 	}
-	initStates := make([]int, 0, 16)
 
-	env := make(system.Vals, len(prog.Vars))
-	next := make(system.Vals, len(prog.Vars))
-	enabledHere := make([]int, 0, numA)
-	nextOf := make([]int, numA) // successor state per enabled action, -1 if escaping
-	for s := 0; s < n; s++ {
-		env = sp.Decode(s, env)
+	scratch := make([]int, 2*numA)
+	enabledHere := scratch[:0:numA]
+	nextOf := scratch[numA:] // successor state per enabled action, -1 if escaping
+	w := l.Walk()
+	for s := 0; ; s++ {
+		env := w.Vals()
 		if prog.Init != nil {
-			isInit, err := gcl.EvalBool(prog, prog.Init, env)
+			isInit, err := w.Init()
 			if err == nil && isInit {
 				f.initCount++
-				initStates = append(initStates, s)
+				f.reachable[s] = true
+				stack = append(stack, int32(s))
 			}
 		}
 		enabledHere = enabledHere[:0]
-		for ai := range prog.Actions {
+		for ai := range l.Actions {
 			if err := gas.Tick(1); err != nil {
 				return nil, err
 			}
-			a := &prog.Actions[ai]
-			on, err := gcl.EvalBool(prog, a.Guard, env)
+			a := &l.Actions[ai]
+			on, err := w.Guard(ai)
 			if err != nil {
 				f.guardError[ai]++
 				continue
@@ -104,24 +123,20 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 				continue
 			}
 			f.enabled[ai]++
-			copy(next, env)
 			identity := true
 			escaped := false
-			for asi, as := range a.Assigns {
-				vi := identIndex(prog, as.Name)
-				decl := prog.Vars[vi]
-				v, err := gcl.Eval(prog, as.Expr, env)
+			t := s
+			for asi := range a.Assigns {
+				as := &a.Assigns[asi]
+				v, err := w.Value(ai, asi)
 				if err != nil {
 					// RHS errors (division by zero): no value, no successor.
 					escaped = true
 					identity = false
 					continue
 				}
-				lo, hi := decl.Lo, decl.Hi
-				if decl.IsBool {
-					lo, hi = 0, 1
-				}
-				if v < lo || v > hi {
+				enc, err := as.Encode(v)
+				if err != nil {
 					if f.escapes[ai].count[asi] == 0 {
 						f.escapes[ai].witness[asi] = s
 					}
@@ -130,24 +145,25 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 					identity = false // the escaping value differs from the in-domain current one
 					continue
 				}
-				enc := v - lo
-				if enc != env[vi] {
+				if enc != env[as.Var] {
 					identity = false
 				}
-				next[vi] = enc
+				t += (enc - env[as.Var]) * as.Stride
 			}
 			if !identity {
 				f.stutters[ai] = false
 			}
 			nextOf[ai] = -1
 			if !escaped {
-				ns := sp.Encode(next)
-				nextOf[ai] = ns
+				nextOf[ai] = t
 				if succ != nil {
-					succ[s] = append(succ[s], int32(ns))
+					succ = append(succ, int32(t))
 				}
 			}
 			enabledHere = append(enabledHere, ai)
+		}
+		if off != nil {
+			off[s+1] = len(succ)
 		}
 		// Co-enabled pairs that disagree on the successor state: the
 		// daemon's choice is observable. Pairs with identical successors
@@ -159,54 +175,49 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 				if nextOf[i] == nextOf[j] {
 					continue
 				}
-				key := [2]int{i, j}
-				o := f.overlaps[key]
-				if o == nil {
-					o = &overlap{witness: s}
-					f.overlaps[key] = o
+				o := &f.overlaps[i*numA+j]
+				if o.count == 0 {
+					o.witness = s
 				}
 				o.count++
 			}
 		}
+		if !w.Next() {
+			break
+		}
 	}
 
 	if prog.Init != nil {
-		f.reachable = make([]bool, n)
-		queue := make([]int, 0, len(initStates))
-		for _, s := range initStates {
-			if !f.reachable[s] {
-				f.reachable[s] = true
-				queue = append(queue, s)
-			}
-		}
-		for len(queue) > 0 {
-			s := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, ns := range succ[s] {
+		for len(stack) > 0 {
+			s := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, ns := range succ[off[s]:off[s+1]] {
 				if err := gas.Tick(1); err != nil {
 					return nil, err
 				}
 				if !f.reachable[ns] {
 					f.reachable[ns] = true
-					queue = append(queue, int(ns))
+					stack = append(stack, ns)
 				}
 			}
 		}
 		// Second pass over reachable states to count per-action enabled
 		// occurrences within the reachable set.
-		for s := 0; s < n; s++ {
-			if !f.reachable[s] {
-				continue
+		w := l.Walk()
+		for s := 0; ; s++ {
+			if f.reachable[s] {
+				for ai := range l.Actions {
+					if err := gas.Tick(1); err != nil {
+						return nil, err
+					}
+					on, err := w.Guard(ai)
+					if err == nil && on {
+						f.reachEnab[ai]++
+					}
+				}
 			}
-			env = sp.Decode(s, env)
-			for ai := range prog.Actions {
-				if err := gas.Tick(1); err != nil {
-					return nil, err
-				}
-				on, err := gcl.EvalBool(prog, prog.Actions[ai].Guard, env)
-				if err == nil && on {
-					f.reachEnab[ai]++
-				}
+			if !w.Next() {
+				break
 			}
 		}
 	}
@@ -266,8 +277,12 @@ func exactDiags(prog *gcl.Program, f *exactFacts) []Diag {
 			})
 		}
 	}
+	numA := len(prog.Actions)
 	for key, o := range f.overlaps {
-		ai, aj := &prog.Actions[key[0]], &prog.Actions[key[1]]
+		if o.count == 0 {
+			continue
+		}
+		ai, aj := &prog.Actions[key/numA], &prog.Actions[key%numA]
 		diags = append(diags, Diag{
 			Pos: aj.Pos, Code: CodeOverlappingGuards, Severity: SevInfo, Confidence: ConfExact,
 			Msg: fmt.Sprintf("actions %q and %q are co-enabled with different successors in %d states (e.g. %s); the daemon's choice is observable",

@@ -1,8 +1,12 @@
 package gcl
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 
+	"repro/internal/bitset"
+	"repro/internal/mc"
 	"repro/internal/system"
 )
 
@@ -26,55 +30,99 @@ func Compile(name, src string) (*Compiled, error) {
 
 // CompileProgram checks and enumerates an already-parsed program.
 func CompileProgram(name string, prog *Program) (*Compiled, error) {
-	if err := Check(prog); err != nil {
+	return CompileProgramContext(context.Background(), name, prog)
+}
+
+// CompileProgramContext is CompileProgram abandoned when ctx is done: the
+// enumeration polls ctx at the model checker's gas poll interval and
+// returns ctx's error. It charges no step budget — the checks that follow
+// meter their own — so a cancelled request stops enumerating without
+// changing the gas any completed check spends.
+func CompileProgramContext(ctx context.Context, name string, prog *Program) (*Compiled, error) {
+	l, err := Lower(prog)
+	if err != nil {
 		return nil, fmt.Errorf("gcl: checking %s: %w", name, err)
 	}
-	sp := SpaceOf(prog)
-	b := system.NewSpaceBuilder(name, sp)
-
-	env := make(system.Vals, len(prog.Vars))
-	next := make(system.Vals, len(prog.Vars))
-	for s := 0; s < sp.Size(); s++ {
-		env = sp.Decode(s, env)
-		if prog.Init == nil {
-			b.AddInit(s)
-		} else {
-			isInit, err := EvalBool(prog, prog.Init, env)
-			if err != nil {
-				return nil, evalFailure(sp, s, err)
-			}
-			if isInit {
-				b.AddInit(s)
-			}
+	sp := l.Space
+	n := sp.Size()
+	var gas *mc.Gas
+	if ctx.Done() != nil {
+		gas = mc.NewGas(ctx, -1)
+	}
+	// Each enabled action contributes at most one successor per state, so
+	// n × actions bounds the edge count; for the spaces the service sees
+	// one allocation then holds every edge.
+	off := make([]int, n+1)
+	to := make([]int, 0, min(n*len(l.Actions), MaxEdgeHintBytes/(bits.UintSize/8)))
+	init := bitset.New(n)
+	w := l.Walk()
+	for s := 0; ; s++ {
+		if err := gas.Tick(1); err != nil {
+			return nil, fmt.Errorf("gcl: compiling %s: %w", name, err)
 		}
-		for ai := range prog.Actions {
-			a := &prog.Actions[ai]
-			enabled, err := EvalBool(prog, a.Guard, env)
+		isInit, err := w.Init()
+		if err != nil {
+			return nil, evalFailure(sp, s, err)
+		}
+		if isInit {
+			init.Add(s)
+		}
+		start := len(to)
+		for ai := range l.Actions {
+			a := &l.Actions[ai]
+			enabled, err := w.Guard(ai)
 			if err != nil {
 				return nil, evalFailure(sp, s, err)
 			}
 			if !enabled {
 				continue
 			}
-			copy(next, env)
-			for _, as := range a.Assigns {
-				v, err := Eval(prog, as.Expr, env) // pre-state: simultaneous semantics
+			// Simultaneous semantics: every right-hand side reads the
+			// pre-state, and each assignment moves the state index by its
+			// value change times the target's stride.
+			t := s
+			for i := range a.Assigns {
+				as := &a.Assigns[i]
+				v, err := w.Value(ai, i)
 				if err != nil {
 					return nil, evalFailure(sp, s, err)
 				}
-				decl := prog.Vars[varIndex(prog, as.Name)]
-				enc, err := encodeValue(decl, v)
+				enc, err := as.Encode(v)
 				if err != nil {
-					return nil, &EvalError{Pos: as.Pos,
-						Msg:   fmt.Sprintf("action %q: %v", a.Name, err),
+					return nil, &EvalError{Pos: as.Decl.Pos,
+						Msg:   fmt.Sprintf("action %q: %v", a.Decl.Name, err),
 						State: sp.StateString(s)}
 				}
-				next[varIndex(prog, as.Name)] = enc
+				t += (enc - w.Vals()[as.Var]) * as.Stride
 			}
-			b.AddTransition(s, sp.Encode(next))
+			to = insertSuccessor(to, start, t)
+		}
+		off[s+1] = len(to)
+		if !w.Next() {
+			break
 		}
 	}
-	return &Compiled{Program: prog, Space: sp, System: b.Build()}, nil
+	return &Compiled{Program: prog, Space: sp, System: system.FromSuccessors(name, sp, off, to, init)}, nil
+}
+
+// MaxEdgeHintBytes caps the up-front allocation of an enumeration's
+// successor array; larger automata grow the array by appending.
+const MaxEdgeHintBytes = 8 << 20
+
+// insertSuccessor adds t to the sorted, duplicate-free run to[start:],
+// the current state's successors so far.
+func insertSuccessor(to []int, start, t int) []int {
+	i := len(to)
+	for i > start && to[i-1] > t {
+		i--
+	}
+	if i > start && to[i-1] == t {
+		return to
+	}
+	to = append(to, 0)
+	copy(to[i+1:], to[i:])
+	to[i] = t
+	return to
 }
 
 // SpaceOf builds the structured state space of a program's declarations.
@@ -93,29 +141,6 @@ func SpaceOf(prog *Program) *system.Space {
 		}
 	}
 	return system.NewSpace(vars...)
-}
-
-func varIndex(prog *Program, name string) int {
-	for i, v := range prog.Vars {
-		if v.Name == name {
-			return i
-		}
-	}
-	// Unreachable after Check.
-	panic(fmt.Sprintf("gcl: unresolved variable %q", name))
-}
-
-func encodeValue(decl VarDecl, v int) (int, error) {
-	if decl.IsBool {
-		if v != 0 && v != 1 {
-			return 0, fmt.Errorf("boolean %q assigned %d", decl.Name, v)
-		}
-		return v, nil
-	}
-	if v < decl.Lo || v > decl.Hi {
-		return 0, fmt.Errorf("variable %q assigned %d outside %d..%d", decl.Name, v, decl.Lo, decl.Hi)
-	}
-	return v - decl.Lo, nil
 }
 
 func evalFailure(sp *system.Space, s int, err error) error {

@@ -1,6 +1,8 @@
 package gcl
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -190,3 +192,28 @@ func (bogusExpr) Type() Type     { return TypeInvalid }
 func (bogusExpr) Position() Pos  { return Pos{} }
 
 func nil2expr() Expr { return bogusExpr{} }
+
+// TestCompileProgramContextStopsWhenCancelled enumerates a 2^18-state
+// program whose only evaluation error sits in the last state: a compile
+// that ignored a cancelled context would reach it and report division by
+// zero, so getting the context's error back proves the enumeration
+// stopped early.
+func TestCompileProgramContextStopsWhenCancelled(t *testing.T) {
+	const src = `
+var x : 0..262143;
+action a: 1 / (262143 - x) == 0 -> x := 0;
+`
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompileProgram("full", prog); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("uncancelled compile: %v, want the last state's division by zero", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c, err := CompileProgramContext(ctx, "cancelled", prog)
+	if !errors.Is(err, context.Canceled) || c != nil {
+		t.Fatalf("cancelled compile = %v, %v; want context.Canceled", c, err)
+	}
+}

@@ -27,95 +27,16 @@ func (e *EvalError) Error() string {
 // each variable's 0-based encoded value (booleans as 0/1; range variables
 // offset by their lower bound). Integer results are returned in source
 // units (i.e. with range offsets applied); boolean results as 0/1.
+//
+// Eval lowers e on every call; loops over many states lower once with
+// Lower and evaluate through a Walker.
 func Eval(p *Program, e Expr, env system.Vals) (int, error) {
-	switch e := e.(type) {
-	case *IntLit:
-		return e.Value, nil
-	case *BoolLit:
-		if e.Value {
-			return 1, nil
-		}
-		return 0, nil
-	case *Ident:
-		v := p.Vars[e.Index]
-		if v.IsBool {
-			return env[e.Index], nil
-		}
-		return env[e.Index] + v.Lo, nil
-	case *Unary:
-		x, err := Eval(p, e.X, env)
-		if err != nil {
-			return 0, err
-		}
-		if e.Op == KindNot {
-			return 1 - x, nil
-		}
-		return -x, nil
-	case *Cond:
-		c, err := Eval(p, e.C, env)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return Eval(p, e.X, env)
-		}
-		return Eval(p, e.Y, env)
-	case *Binary:
-		x, err := Eval(p, e.X, env)
-		if err != nil {
-			return 0, err
-		}
-		// Short-circuit logic.
-		switch e.Op {
-		case KindAnd:
-			if x == 0 {
-				return 0, nil
-			}
-			return Eval(p, e.Y, env)
-		case KindOr:
-			if x != 0 {
-				return 1, nil
-			}
-			return Eval(p, e.Y, env)
-		}
-		y, err := Eval(p, e.Y, env)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case KindPlus:
-			return x + y, nil
-		case KindMinus:
-			return x - y, nil
-		case KindStar:
-			return x * y, nil
-		case KindSlash:
-			if y == 0 {
-				return 0, &EvalError{Pos: e.Pos, Msg: "division by zero"}
-			}
-			return floorDiv(x, y), nil
-		case KindPercent:
-			if y == 0 {
-				return 0, &EvalError{Pos: e.Pos, Msg: "modulo by zero"}
-			}
-			return floorMod(x, y), nil
-		case KindEq:
-			return b2i(x == y), nil
-		case KindNeq:
-			return b2i(x != y), nil
-		case KindLt:
-			return b2i(x < y), nil
-		case KindLe:
-			return b2i(x <= y), nil
-		case KindGt:
-			return b2i(x > y), nil
-		case KindGe:
-			return b2i(x >= y), nil
-		}
-		return 0, &EvalError{Pos: e.Pos, Msg: fmt.Sprintf("unknown operator %s", e.Op)}
-	default:
-		return 0, &EvalError{Pos: e.Position(), Msg: "unknown expression node"}
+	m := machine{env: env}
+	v := lowerExpr(p, e)(&m)
+	if m.err != nil {
+		return 0, m.err
 	}
+	return v, nil
 }
 
 // EvalBool evaluates a boolean expression.

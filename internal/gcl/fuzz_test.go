@@ -3,6 +3,8 @@ package gcl
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/system"
 )
 
 // FuzzParse asserts the lexer/parser/checker pipeline never panics and
@@ -34,12 +36,14 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzCompile asserts that compilation of small-domain programs never
-// panics: either a compiled automaton or an error.
+// FuzzCompile is a differential fuzzer: for small-domain programs,
+// CompileProgram must produce the same automaton as the tree-walking
+// oracle, or fail with byte-identical error text.
 func FuzzCompile(f *testing.F) {
 	f.Add("var x : 0..2;\naction a: true -> x := (x + 1) % 3;")
 	f.Add("var x : 0..2;\naction a: true -> x := x + 1;") // domain overflow
 	f.Add("var x : 0..2;\naction a: 1 / x == 1 -> x := 0;")
+	f.Add("var x : -1..1;\nvar b : bool;\ninit x % (x + 1) == 0;\naction a: b -> x := -x; b := x > 0;")
 	f.Fuzz(func(t *testing.T, src string) {
 		// Guard against fuzz inputs that declare astronomically large
 		// domains: compilation cost is proportional to the state space.
@@ -51,11 +55,20 @@ func FuzzCompile(f *testing.F) {
 			space := 1
 			for _, v := range prog.Vars {
 				space *= v.Card()
-				if space > 1<<16 {
+				if space > 1<<16 || space <= 0 {
 					return
 				}
 			}
-			_, _ = CompileProgram("fuzz", prog)
+			prog2, _ := Parse(src)
+			got, gotErr := CompileProgram("fuzz", prog)
+			want, wantErr := oracleCompile("fuzz", prog2)
+			if (gotErr == nil) != (wantErr == nil) ||
+				(gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("error %v, oracle %v", gotErr, wantErr)
+			}
+			if gotErr == nil && !system.Equal(got.System, want.System) {
+				t.Fatalf("automaton %s differs from oracle %s", got.System, want.System)
+			}
 		}
 	})
 }

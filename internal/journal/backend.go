@@ -2,17 +2,22 @@ package journal
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 )
 
-// Backend is the journal's durable byte sink. Append must be
+// Backend is the journal's durable byte store. Append must be
 // fsync-equivalent: when it returns nil the bytes survive a crash.
 // ReadAll returns everything previously appended, including any torn
-// tail a crash left behind — the codec's job is to survive it.
+// tail a crash left behind — the codec's job is to survive it. ReadAt
+// reads the byte range at off with io.ReaderAt's contract (a short read
+// returns io.EOF at the end); the journal keeps only offsets in memory
+// and reads every payload back through it.
 type Backend interface {
 	ReadAll() ([]byte, error)
+	ReadAt(p []byte, off int64) (int, error)
 	Append(b []byte) error
 }
 
@@ -46,6 +51,22 @@ func (m *MemBackend) ReadAll() ([]byte, error) {
 	return append([]byte(nil), m.buf...), nil
 }
 
+func (m *MemBackend) ReadAt(p []byte, off int64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if off < 0 {
+		return 0, errors.New("journal: negative read offset")
+	}
+	if off >= int64(len(m.buf)) {
+		return 0, io.EOF
+	}
+	n := copy(p, m.buf[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
 func (m *MemBackend) Append(b []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -71,11 +92,15 @@ func (m *MemBackend) Replace(b []byte) error {
 
 // FileBackend appends to one O_APPEND file, syncing after every write
 // so a nil Append means the batch is on disk. The group-commit writer
-// amortizes that sync across a whole batch.
+// amortizes that sync across a whole batch. ReadAt preads the same
+// handle without waiting for an append's fsync: a pread is safe
+// alongside an O_APPEND write, and only Replace and Close, which swap
+// or drop the handle, exclude readers.
 type FileBackend struct {
 	path string
-	mu   sync.Mutex
-	f    *os.File
+	mu   sync.Mutex   // serializes Append, Replace and Close
+	fmu  sync.RWMutex // guards f: ReadAt shares it, handle swaps take it
+	f    *os.File     // written only while holding both mu and fmu
 }
 
 // compactSuffix names the temporary file a compaction rewrite targets.
@@ -87,7 +112,7 @@ const compactSuffix = ".compact"
 // commit point; the original journal is intact, so the temp is garbage.
 func OpenFile(path string) (*FileBackend, error) {
 	_ = os.Remove(path + compactSuffix)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -100,6 +125,15 @@ func (fb *FileBackend) ReadAll() ([]byte, error) {
 		return nil, nil
 	}
 	return b, err
+}
+
+func (fb *FileBackend) ReadAt(p []byte, off int64) (int, error) {
+	fb.fmu.RLock()
+	defer fb.fmu.RUnlock()
+	if fb.f == nil {
+		return 0, errors.New("journal: file backend lost its handle after a failed compaction swap")
+	}
+	return fb.f.ReadAt(p, off)
 }
 
 func (fb *FileBackend) Append(b []byte) error {
@@ -149,7 +183,9 @@ func (fb *FileBackend) Replace(b []byte) error {
 	// The old handle points at the now-unlinked inode; appends through it
 	// would vanish. Reopen before closing it so a reopen failure leaves
 	// the backend loudly broken (nil handle) instead of silently lossy.
-	nf, err := os.OpenFile(fb.path, os.O_APPEND|os.O_WRONLY, 0o644)
+	nf, err := os.OpenFile(fb.path, os.O_APPEND|os.O_RDWR, 0o644)
+	fb.fmu.Lock()
+	defer fb.fmu.Unlock()
 	old := fb.f
 	fb.f = nf // nil on error
 	if old != nil {
@@ -172,6 +208,8 @@ func syncDir(dir string) {
 func (fb *FileBackend) Close() error {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
+	fb.fmu.Lock()
+	defer fb.fmu.Unlock()
 	if fb.f == nil {
 		return nil
 	}
@@ -213,6 +251,8 @@ func NewTornBackend(tearAt, prefixOf int) *TornBackend {
 }
 
 func (tb *TornBackend) ReadAll() ([]byte, error) { return tb.mem.ReadAll() }
+
+func (tb *TornBackend) ReadAt(p []byte, off int64) (int, error) { return tb.mem.ReadAt(p, off) }
 
 // Bytes returns what actually survived — the restart's input.
 func (tb *TornBackend) Bytes() []byte {

@@ -9,7 +9,10 @@
 //     durable source of truth. Concurrent appenders hand records to one
 //     writer goroutine that coalesces them into group commits — one
 //     flush per batch, one ack per record — so heavy write traffic pays
-//     one fsync-equivalent per batch instead of one per request;
+//     one fsync-equivalent per batch instead of one per request. In
+//     memory the journal keeps only an index — sequence number, kind,
+//     byte offset and length per event — and reads payloads back from
+//     the backend, so its heap does not grow with the history;
 //   - projections (projection.go) are derived views: registered
 //     consumers replay the journal from their checkpoint and then
 //     follow live commits, each a stuttering refinement of the event
@@ -25,11 +28,16 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/cluster/store"
 )
 
 // Limits and defaults. One event is a request/verdict-sized JSON blob;
@@ -101,9 +109,18 @@ type appendAck struct {
 	err error
 }
 
+// indexEntry is what the journal keeps in memory per durable event; the
+// payload itself lives only in the backend.
+type indexEntry struct {
+	seq  uint64
+	kind *kindInfo
+	off  int64 // the record's byte offset in the backend
+	n    int32 // the record's length
+}
+
 // Journal is the append-only event log. Construct with Open, dispose
 // with Close. Append/AppendAsync are safe for concurrent use; replay
-// state (Events, LastSeq) is safe to read concurrently with appends.
+// state (Read, LastSeq) is safe to read concurrently with appends.
 type Journal struct {
 	b   Backend
 	opt Options
@@ -114,7 +131,8 @@ type Journal struct {
 
 	mu      sync.Mutex
 	closed  bool
-	events  []Event // durable history, oldest first
+	index   []indexEntry         // durable history, oldest first
+	kinds   map[string]*kindInfo // interned kinds; writer goroutine only after Open
 	hooks   []func(last uint64)
 	gate    func(next uint64) // optional admission gate (bounded projection lag)
 	batches batchHistogram
@@ -129,6 +147,16 @@ type Journal struct {
 	retain       func() (uint64, bool)
 	ckptReq      func()
 	compactc     chan chan struct{}
+
+	// swap orders reads against compaction: Read holds it shared while
+	// it resolves offsets and reads them; runCompaction holds it
+	// exclusively across the backend swap and the index rebuild.
+	swap sync.RWMutex
+	// end is the backend's size as the writer knows it, where the next
+	// batch lands; -1 after a failed append, which may have left a torn
+	// prefix of unknown length. Writer goroutine only.
+	end        int64
+	unreadable atomic.Int64 // event reads whose record failed to verify
 
 	lastSeq      atomic.Uint64 // highest durable sequence number
 	depth        atomic.Int64  // records accepted but not yet flushed
@@ -157,13 +185,15 @@ func Open(b Backend, opt Options) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: read: %w", err)
 	}
-	events, stats := DecodeEvents(raw)
+	index, kinds, stats := indexEvents(raw)
 	j := &Journal{
 		b:      b,
 		opt:    opt.withDefaults(),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-		events: events,
+		index:  index,
+		kinds:  kinds,
+		end:    int64(len(raw)),
 		replay: stats,
 	}
 	if j.opt.MaxBytes > 0 {
@@ -175,18 +205,49 @@ func Open(b Backend, opt Options) (*Journal, error) {
 	j.compactc = make(chan chan struct{}, 1)
 	j.appendc = make(chan appendReq, j.opt.MaxQueue)
 	j.usage.Store(int64(stats.Bytes))
-	if n := len(events); n > 0 {
-		j.lastSeq.Store(events[n-1].Seq)
+	if n := len(index); n > 0 {
+		j.lastSeq.Store(index[n-1].seq)
 		// A history starting above 1 is the signature of a prior
 		// compaction: everything below the first surviving event was
 		// covered and dropped. Recover the horizon so ReplayTo and
 		// fleet hole detection stay honest across restarts.
-		if first := events[0].Seq; first > 1 {
+		if first := index[0].seq; first > 1 {
 			j.horizon.Store(first - 1)
 		}
 	}
 	go j.writer(j.stop)
 	return j, nil
+}
+
+// indexEvents replays a journal byte stream into the in-memory index
+// and the interned kinds. A record whose payload is not shaped the way
+// EncodeEvent writes it (no journal this package wrote has one) points
+// at a kind entry that makes every read decode it in full.
+func indexEvents(b []byte) ([]indexEntry, map[string]*kindInfo, Stats) {
+	var index []indexEntry
+	kinds := make(map[string]*kindInfo)
+	decodeInFull := make(map[string]*kindInfo)
+	stats := scanEvents(b, func(ev Event, payload []byte, off, n int) {
+		k := internKind(kinds, ev.Kind)
+		if data, ok := k.data(payload); !ok || !bytes.Equal(data, ev.Data) {
+			if k = decodeInFull[ev.Kind]; k == nil {
+				k = &kindInfo{name: ev.Kind}
+				decodeInFull[ev.Kind] = k
+			}
+		}
+		index = append(index, indexEntry{seq: ev.Seq, kind: k, off: int64(off), n: int32(n)})
+	})
+	return index, kinds, stats
+}
+
+// internKind returns kinds' entry for kind, adding it if absent.
+func internKind(kinds map[string]*kindInfo, kind string) *kindInfo {
+	k, ok := kinds[kind]
+	if !ok {
+		k = newKindInfo(kind)
+		kinds[kind] = k
+	}
+	return k
 }
 
 // ReplayStats reports what Open found: events accepted, corrupt records
@@ -256,25 +317,122 @@ func (j *Journal) enqueue(r appendReq) error {
 	return nil
 }
 
-// Events returns a copy of the durable events with Seq ≥ from, oldest
-// first. from = 0 (or 1) returns the full history.
-func (j *Journal) Events(from uint64) []Event {
+// Read returns the durable events with from ≤ Seq ≤ to, oldest first,
+// at most max of them (max ≤ 0: no cap). Payloads come from the
+// backend, one read covering the range's records, so a bounded read
+// costs bounded memory and I/O whatever the history's length. A record
+// that no longer reads back intact (a torn or corrupted region) comes
+// back with its sequence number and kind but nil Data, and is counted in
+// Unreadable: consumers skip its content, as a restart's replay would,
+// while their checkpoints still move past it. The error reports a
+// failing backend read.
+func (j *Journal) Read(from, to uint64, max int) ([]Event, error) {
+	j.swap.RLock()
+	defer j.swap.RUnlock()
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	// Binary search over the (sorted, possibly gapped) history.
-	lo, hi := 0, len(j.events)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if j.events[mid].Seq < from {
-			lo = mid + 1
-		} else {
-			hi = mid
+	lo := j.search(from)
+	hi := len(j.index)
+	if to < ^uint64(0) {
+		hi = j.search(to + 1)
+	}
+	if hi < lo { // to < from
+		hi = lo
+	}
+	if max > 0 && hi-lo > max {
+		hi = lo + max
+	}
+	// Entries below len(j.index) are never rewritten in place (commits
+	// append, compaction builds a new slice under swap), so the subslice
+	// stays valid after the lock drops.
+	ents := j.index[lo:hi:hi]
+	j.mu.Unlock()
+	if len(ents) == 0 {
+		return nil, nil
+	}
+	first := ents[0].off
+	last := ents[len(ents)-1]
+	buf := make([]byte, last.off+int64(last.n)-first)
+	n, err := j.b.ReadAt(buf, first)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("journal: read: %w", err)
+	}
+	buf = buf[:n]
+	out := make([]Event, 0, len(ents))
+	for i := range ents {
+		e := &ents[i]
+		ev, ok := Event{}, false
+		if rel := e.off - first; rel+int64(e.n) <= int64(len(buf)) {
+			ev, ok = e.decode(buf[rel : rel+int64(e.n)])
+		}
+		if !ok {
+			j.unreadable.Add(1)
+			ev = Event{Seq: e.seq, Kind: e.kind.name}
+		}
+		out = append(out, ev)
+	}
+	return out, nil
+}
+
+// Scan calls fn with each durable event above from, oldest first,
+// reading page events per Read (page ≤ 0: one read of everything),
+// until fn returns false or the history runs out. It returns the
+// sequence number of the last event fn accepted (from if none). A cursor
+// below the compaction horizon fails with ErrCompacted, whether it was
+// there at the start or a compaction between two pages put it there:
+// the events it expects are gone, and resuming above the horizon would
+// skip them silently.
+func (j *Journal) Scan(from uint64, page int, fn func(Event) bool) (uint64, error) {
+	next := from
+	for {
+		evs, err := j.Read(next+1, ^uint64(0), page)
+		if err != nil {
+			return next, err
+		}
+		// Checked after the read: a compaction the read observed has
+		// published its horizon by then.
+		if h := j.horizon.Load(); next < h {
+			return next, fmt.Errorf("%w: cursor %d < horizon %d", ErrCompacted, next, h)
+		}
+		for _, ev := range evs {
+			if !fn(ev) {
+				return next, nil
+			}
+			next = ev.Seq
+		}
+		if page <= 0 || len(evs) < page {
+			return next, nil
 		}
 	}
-	out := make([]Event, len(j.events)-lo)
-	copy(out, j.events[lo:])
-	return out
 }
+
+// search returns the index of the first event with Seq ≥ seq. Caller
+// holds mu.
+func (j *Journal) search(seq uint64) int {
+	return sort.Search(len(j.index), func(i int) bool { return j.index[i].seq >= seq })
+}
+
+// decode rebuilds e's event from its record bytes, verifying the frame's
+// checksum and sequence number. The event's data aliases rec unless the
+// record had to be decoded in full.
+func (e *indexEntry) decode(rec []byte) (Event, bool) {
+	seq, payload, _, err := store.DecodeRecord(rec)
+	if err != nil || seq != e.seq {
+		return Event{}, false
+	}
+	if data, ok := e.kind.data(payload); ok {
+		return Event{Seq: seq, Kind: e.kind.name, Data: data}, true
+	}
+	ev, _, _, err := decodeOne(rec)
+	if err != nil {
+		return Event{}, false
+	}
+	ev.Kind = e.kind.name
+	return ev, true
+}
+
+// Unreadable counts event reads that found the record no longer intact;
+// a record read by several consumers counts once per read.
+func (j *Journal) Unreadable() int64 { return j.unreadable.Load() }
 
 // AddCommitHook registers fn to run after every group commit with the
 // new last sequence number. Hooks run on the writer goroutine and must
@@ -351,12 +509,17 @@ func (j *Journal) collect(first appendReq) []appendReq {
 // record in place of a later acked one.
 func (j *Journal) commit(batch []appendReq) {
 	base := j.lastSeq.Load()
+	if err := j.syncEnd(); err != nil {
+		j.fail(batch, base, err)
+		return
+	}
 	var buf []byte
-	events := make([]Event, len(batch))
+	entries := make([]indexEntry, len(batch))
 	for i, r := range batch {
-		ev := Event{Seq: base + uint64(i) + 1, Kind: r.kind, Data: r.data}
-		events[i] = ev
-		buf = append(buf, EncodeEvent(ev)...)
+		rec := EncodeEvent(Event{Seq: base + uint64(i) + 1, Kind: r.kind, Data: r.data})
+		entries[i] = indexEntry{seq: base + uint64(i) + 1, kind: internKind(j.kinds, r.kind),
+			off: j.end + int64(len(buf)), n: int32(len(rec))}
+		buf = append(buf, rec...)
 	}
 	err := j.b.Append(buf)
 	j.depth.Add(-int64(len(batch)))
@@ -364,19 +527,16 @@ func (j *Journal) commit(batch []appendReq) {
 	// prefix of the batch, so over-counting is the safe direction.
 	j.usage.Add(int64(len(buf)))
 	if err != nil {
-		j.appendErrors.Add(int64(len(batch)))
-		for _, r := range batch {
-			if r.ack != nil {
-				r.ack <- appendAck{err: fmt.Errorf("journal: append: %w", err)}
-			}
-		}
-		// The numbering still advances past the possibly-torn region.
-		j.lastSeqAdvance(base + uint64(len(batch)))
+		// The failed write may have left a torn prefix of unknown
+		// length; the next commit re-measures the backend first.
+		j.end = -1
+		j.fail(batch, base, err)
 		return
 	}
+	j.end += int64(len(buf))
 	last := base + uint64(len(batch))
 	j.mu.Lock()
-	j.events = append(j.events, events...)
+	j.index = append(j.index, entries...)
 	j.batches.observe(len(batch))
 	hooks := j.hooks
 	j.mu.Unlock()
@@ -385,11 +545,50 @@ func (j *Journal) commit(batch []appendReq) {
 	j.commits.Add(1)
 	for i, r := range batch {
 		if r.ack != nil {
-			r.ack <- appendAck{seq: events[i].Seq}
+			r.ack <- appendAck{seq: entries[i].seq}
 		}
 	}
 	for _, fn := range hooks {
 		fn(last)
+	}
+}
+
+// fail rejects a batch whose flush failed. The numbering still advances
+// past the possibly-torn region.
+func (j *Journal) fail(batch []appendReq, base uint64, err error) {
+	j.appendErrors.Add(int64(len(batch)))
+	for _, r := range batch {
+		if r.ack != nil {
+			r.ack <- appendAck{err: fmt.Errorf("journal: append: %w", err)}
+		}
+	}
+	j.lastSeqAdvance(base + uint64(len(batch)))
+}
+
+// syncEnd re-measures the backend's size after a failed append, reading
+// forward from the last offset the writer trusted until the backend
+// runs out. Writer goroutine only.
+func (j *Journal) syncEnd() error {
+	if j.end >= 0 {
+		return nil
+	}
+	j.mu.Lock()
+	var end int64
+	if n := len(j.index); n > 0 {
+		end = j.index[n-1].off + int64(j.index[n-1].n)
+	}
+	j.mu.Unlock()
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := j.b.ReadAt(buf, end)
+		end += int64(n)
+		if errors.Is(err, io.EOF) || (err == nil && n < len(buf)) {
+			j.end = end
+			return nil
+		}
+		if err != nil {
+			return err
+		}
 	}
 }
 

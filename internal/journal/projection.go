@@ -143,17 +143,22 @@ func (e *Engine) drive(p Projection, notify chan struct{}) {
 	}
 }
 
+// catchUpPage bounds one catch-up read: a projection replaying a long
+// history holds one page of payloads at a time.
+const catchUpPage = 256
+
 // catchUp applies everything the journal holds above p's checkpoint,
-// then publishes the new checkpoint and wakes gate/WaitCaughtUp
-// waiters.
+// page by page, then publishes the new checkpoint and wakes
+// gate/WaitCaughtUp waiters. A failing backend read ends the pass; the
+// next commit's wakeup retries it.
 func (e *Engine) catchUp(p Projection) {
 	for {
-		evs := e.j.Events(p.Seq() + 1)
-		if len(evs) == 0 {
-			break
-		}
+		evs, err := e.j.Read(p.Seq()+1, ^uint64(0), catchUpPage)
 		for _, ev := range evs {
 			p.Apply(ev)
+		}
+		if err != nil || len(evs) == 0 {
+			break
 		}
 	}
 	e.mu.Lock()

@@ -158,8 +158,8 @@ func (j *Journal) SetCovered(seq uint64) {
 
 // SetRetainFunc installs the projection floor: compaction never drops
 // above the returned sequence (the projection engine's minimum applied
-// checkpoint), because live projections replay from the in-memory
-// history. ok=false means no floor. Install before traffic.
+// checkpoint), because live projections replay from the journal.
+// ok=false means no floor. Install before traffic.
 func (j *Journal) SetRetainFunc(fn func() (uint64, bool)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -209,18 +209,16 @@ func (j *Journal) ReplayTo(seq uint64) ([]Event, error) {
 	if h := j.horizon.Load(); seq < h {
 		return nil, fmt.Errorf("%w: seq %d < horizon %d", ErrCompacted, seq, h)
 	}
-	evs := j.Events(0)
-	// Binary search for the first event above seq.
-	lo, hi := 0, len(evs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if evs[mid].Seq <= seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	evs, err := j.Read(0, seq, 0)
+	if err != nil {
+		return nil, err
 	}
-	return evs[:lo], nil
+	// A compaction between the check above and the read drops the
+	// prefix the caller asked for; report it rather than return less.
+	if h := j.horizon.Load(); seq < h {
+		return nil, fmt.Errorf("%w: seq %d < horizon %d", ErrCompacted, seq, h)
+	}
+	return evs, nil
 }
 
 // retentionHorizon computes the highest droppable sequence number:
@@ -232,10 +230,10 @@ func (j *Journal) retentionHorizon() uint64 {
 	j.mu.Lock()
 	target := j.covered
 	retain := j.retain
-	n := len(j.events)
+	n := len(j.index)
 	var newest uint64
 	if n > 0 {
-		newest = j.events[n-1].Seq
+		newest = j.index[n-1].seq
 	}
 	j.mu.Unlock()
 	if retain != nil {
@@ -253,9 +251,11 @@ func (j *Journal) retentionHorizon() uint64 {
 }
 
 // runCompaction rewrites the backend to the suffix above the retention
-// horizon. Writer goroutine only: nothing else mutates j.events or
+// horizon. Writer goroutine only: nothing else mutates the index or
 // appends to the backend while the swap is in flight, which is the
-// whole concurrency argument for compacting on the writer.
+// whole concurrency argument for compacting on the writer. The
+// surviving records are copied byte for byte from the backend, so their
+// offsets shift by one constant and the index is rebuilt by subtraction.
 func (j *Journal) runCompaction() {
 	rb, ok := j.b.(ReplaceBackend)
 	if !ok {
@@ -265,41 +265,52 @@ func (j *Journal) runCompaction() {
 	if target <= j.horizon.Load() {
 		return
 	}
+	if err := j.syncEnd(); err != nil {
+		j.compactErrors.Add(1)
+		return
+	}
 	j.mu.Lock()
-	// First surviving index: events are sorted by Seq.
-	lo, hi := 0, len(j.events)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if j.events[mid].Seq <= target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	droppedN := lo
-	var buf []byte
-	for _, ev := range j.events[lo:] {
-		buf = append(buf, EncodeEvent(ev)...)
-	}
+	droppedN := j.search(target + 1) // events are sorted by seq
+	survived := j.index[droppedN:]
 	j.mu.Unlock()
 	if droppedN == 0 {
 		j.horizon.Store(target) // nothing stored below target (gaps)
 		return
 	}
+	base := j.end
+	if len(survived) > 0 {
+		base = survived[0].off
+	}
+	buf := make([]byte, j.end-base)
+	if n, err := j.b.ReadAt(buf, base); n < len(buf) && err != nil {
+		j.compactErrors.Add(1)
+		return
+	}
+	index := make([]indexEntry, len(survived))
+	for i, e := range survived {
+		e.off -= base
+		index[i] = e
+	}
+	j.swap.Lock()
 	if err := rb.Replace(buf); err != nil {
+		j.swap.Unlock()
 		j.compactErrors.Add(1)
 		return
 	}
 	j.mu.Lock()
-	survived := j.events[droppedN:]
-	j.events = append(make([]Event, 0, len(survived)), survived...)
+	j.index = index
 	j.mu.Unlock()
+	j.end = int64(len(buf))
+	// Publish the horizon before readers can see the shortened index,
+	// so a reader that checks Horizon after a Read sees any compaction
+	// that Read observed.
+	j.horizon.Store(target)
+	j.swap.Unlock()
 	old := j.usage.Swap(int64(len(buf)))
 	if d := old - int64(len(buf)); d > 0 {
 		j.reclaimed.Add(d)
 	}
 	j.dropped.Add(int64(droppedN))
-	j.horizon.Store(target)
 	j.compactions.Add(1)
 	// Any compaction that restores the budget de-escalates the ladder
 	// immediately — recovery is as observable as degradation.

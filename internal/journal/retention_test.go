@@ -34,7 +34,7 @@ func TestCompactionDropsCoveredPrefix(t *testing.T) {
 	if st.HorizonSeq != 6 || st.DroppedEvents != 6 || st.Compactions != 1 {
 		t.Fatalf("retention after compact = %+v, want horizon 6, 6 dropped", st)
 	}
-	if evs := j.Events(0); len(evs) != 4 || evs[0].Seq != 7 {
+	if evs := mustRead(t, j, 0); len(evs) != 4 || evs[0].Seq != 7 {
 		t.Fatalf("in-memory events after compact = %d starting at %d, want 4 from 7", len(evs), evs[0].Seq)
 	}
 	if mem.Len() >= before {
@@ -79,7 +79,7 @@ func TestCompactionKeepsNewestEvent(t *testing.T) {
 	if st.HorizonSeq != last-1 {
 		t.Fatalf("horizon = %d, want %d (newest event retained)", st.HorizonSeq, last-1)
 	}
-	if evs := j.Events(0); len(evs) != 1 || evs[0].Seq != last {
+	if evs := mustRead(t, j, 0); len(evs) != 1 || evs[0].Seq != last {
 		t.Fatalf("events after full-coverage compact = %+v, want only seq %d", evs, last)
 	}
 }
@@ -184,7 +184,7 @@ func TestKillMidCompactionBothArmsReplayClean(t *testing.T) {
 			if afterSwap {
 				wantEvents, wantFirst = 4, 7 // compacted: suffix only
 			}
-			evs := re.Events(0)
+			evs := mustRead(t, re, 0)
 			if len(evs) != wantEvents || evs[0].Seq != wantFirst {
 				t.Fatalf("%s: %d events from %d, want %d from %d",
 					name, len(evs), evs[0].Seq, wantEvents, wantFirst)
@@ -192,7 +192,7 @@ func TestKillMidCompactionBothArmsReplayClean(t *testing.T) {
 			// Either way, every acked event above the covered prefix is
 			// present — nothing durable was lost to the crash.
 			for seq := uint64(7); seq <= 10; seq++ {
-				if len(re.Events(seq)) == 0 {
+				if len(mustRead(t, re, seq)) == 0 {
 					t.Fatalf("%s: acked event %d missing after crash", name, seq)
 				}
 			}

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -211,6 +212,18 @@ func (s *Server) parseProgram(field, src string) (*gcl.Program, error) {
 	return prog, nil
 }
 
+// compile enumerates a request's program under the job's context, so a
+// request whose deadline passed stops enumerating instead of running to
+// the state cap. Evaluation errors are the client's (400, naming the
+// request field); a done context passes through as the 504 it is.
+func compile(ctx context.Context, name, field string, prog *gcl.Program) (*gcl.Compiled, error) {
+	c, err := gcl.CompileProgramContext(ctx, name, prog)
+	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		return nil, badRequest("%s: %v", field, err)
+	}
+	return c, err
+}
+
 func (s *Server) handleSelfStab(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	s.recordRequest(kindSelfStab)
@@ -231,9 +244,9 @@ func (s *Server) handleSelfStab(w http.ResponseWriter, r *http.Request) {
 	}
 	budget := s.resolveBudget(req.Budget)
 	s.execute(w, r, kindSelfStab, key, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		c, err := gcl.CompileProgram("program", prog)
+		c, err := compile(ctx, "program", "source", prog)
 		if err != nil {
-			return nil, badRequest("source: %v", err)
+			return nil, err
 		}
 		rep, err := core.SelfStabilizingGas(mc.NewGas(ctx, budget), c.System)
 		if err != nil {
@@ -274,13 +287,13 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	}
 	budget := s.resolveBudget(req.Budget)
 	s.execute(w, r, kindRefine, key, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		cc, err := gcl.CompileProgram("concrete", concrete)
+		cc, err := compile(ctx, "concrete", "concrete", concrete)
 		if err != nil {
-			return nil, badRequest("concrete: %v", err)
+			return nil, err
 		}
-		ca, err := gcl.CompileProgram("abstract", abstract)
+		ca, err := compile(ctx, "abstract", "abstract", abstract)
 		if err != nil {
-			return nil, badRequest("abstract: %v", err)
+			return nil, err
 		}
 		if !cc.Space.SameShape(ca.Space) {
 			return nil, badRequest("programs declare different state spaces; refine requires a shared space")

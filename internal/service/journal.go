@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -391,6 +392,7 @@ type JournalMetricsSnapshot struct {
 	Records       int64             `json:"records"`
 	Commits       int64             `json:"commits"`
 	AppendErrors  int64             `json:"append_errors"`
+	Unreadable    int64             `json:"unreadable"` // event reads whose record failed its CRC/seq check
 	Ready         bool              `json:"ready"`
 	Replay        journal.Stats     `json:"replay"`
 	ProjectionLag map[string]uint64 `json:"projection_lag"`
@@ -473,19 +475,24 @@ func (s *Server) handleJournalRange(w http.ResponseWriter, r *http.Request) {
 	resp := JournalRangeResponse{
 		From:    from,
 		To:      to,
-		Horizon: s.journal.j.Horizon(),
 		LastSeq: last,
 		Events:  []journalEventView{}, // render [] rather than null
 	}
-	for _, ev := range s.journal.j.Events(from) {
-		if ev.Seq > to {
-			break
-		}
-		if len(resp.Events) >= journalQueryMaxEvents {
-			resp.Truncated = true
-			resp.NextFrom = ev.Seq
-			break
-		}
+	// One event past the page tells whether the range continues.
+	evs, err := s.journal.j.Read(from, to, journalQueryMaxEvents+1)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
+	}
+	// Read the horizon after the events, so it covers any compaction
+	// the read observed.
+	resp.Horizon = s.journal.j.Horizon()
+	if len(evs) > journalQueryMaxEvents {
+		resp.Truncated = true
+		resp.NextFrom = evs[journalQueryMaxEvents].Seq
+		evs = evs[:journalQueryMaxEvents]
+	}
+	for _, ev := range evs {
 		view := journalEventView{Seq: ev.Seq, Kind: string(ev.Kind)}
 		if json.Valid(ev.Data) {
 			view.Data = json.RawMessage(ev.Data)
@@ -528,23 +535,32 @@ func (s *Server) EncodeJournalSuffix(from uint64, max int) (b []byte, next uint6
 	if s.journal == nil {
 		return nil, next, 0, false
 	}
-	if h := s.journal.j.Horizon(); from < h {
-		// The events in (from, h] were compacted away; an incremental
-		// reply would be a silent gap. Report the hole and where the
-		// journal now begins so the caller can digest-sync and resume.
-		return nil, h, 0, true
+	// Read page by page, so a capped pull reads about as many events as
+	// it ships rather than the whole suffix.
+	page := max
+	if page <= 0 {
+		page = journalQueryMaxEvents
 	}
 	var buf bytes.Buffer
-	for _, ev := range s.journal.j.Events(from + 1) {
-		if ev.Kind == journal.KindVerdict {
+	next, err := s.journal.j.Scan(from, page, func(ev journal.Event) bool {
+		if ev.Kind == journal.KindVerdict && ev.Data != nil {
 			if max > 0 && n >= max {
-				break // ship the rest from this cursor next round
+				return false // ship the rest from this cursor next round
 			}
 			buf.Write(journal.EncodeEvent(ev))
 			n++
 		}
-		next = ev.Seq
+		return true
+	})
+	if errors.Is(err, journal.ErrCompacted) && n == 0 {
+		// The events above the cursor were compacted away; an
+		// incremental reply would be a silent gap. Report the hole and
+		// where the journal now begins so the caller can digest-sync and
+		// resume. With verdicts already shipped, next stays below the
+		// horizon and the next round reports the hole instead.
+		return nil, s.journal.j.Horizon(), 0, true
 	}
+	// Any other failure ships what was read; the cursor resumes there.
 	return buf.Bytes(), next, n, false
 }
 
@@ -653,6 +669,7 @@ func (sj *serverJournal) metricsSnapshot() *JournalMetricsSnapshot {
 	}
 	snap.BatchP50, snap.BatchP99 = sj.j.BatchPercentiles()
 	snap.Records, snap.Commits, snap.AppendErrors = sj.j.Counters()
+	snap.Unreadable = sj.j.Unreadable()
 	snap.ProjectionLag = sj.engine.Lags()
 	if ret := sj.j.Retention(); ret.MaxBytes > 0 {
 		snap.Retention = &ret

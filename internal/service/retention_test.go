@@ -193,7 +193,11 @@ func TestVerdictTimeTravelMatchesReferenceReplay(t *testing.T) {
 
 	// Reference replay: a fresh server on exactly the prefix up to asOf.
 	var prefix bytes.Buffer
-	for _, ev := range svc.journal.j.Events(0) {
+	evs, err := svc.journal.j.Read(0, asOf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
 		if ev.Seq > asOf {
 			break
 		}

@@ -403,7 +403,8 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, kind, key strin
 		writeJSON(w, http.StatusOK, o.val)
 	case <-ctx.Done():
 		// The job either never started (skipped by the worker) or is
-		// being cancelled through its gas meter right now. Like the 429
+		// being cancelled right now: enumeration polls the context and
+		// the checks poll it through their gas meter. Like the 429
 		// path, a deadline miss is transient — the next attempt may hit
 		// the cache or an idle worker — so tell clients when to retry.
 		s.recordOutcome(statusTimeout, kind, 0, false)

@@ -39,7 +39,7 @@ func Induced(sys *System, keep *bitset.Set) (*System, []int) {
 	b := NewBuilder(sys.name+"|induced", count)
 	keep.ForEach(func(s int) {
 		ns := oldToNew[s]
-		for _, t := range sys.succ[s] {
+		for _, t := range sys.Succ(s) {
 			if nt := oldToNew[t]; nt >= 0 {
 				b.AddTransition(ns, nt)
 			}

@@ -26,18 +26,18 @@ func PriorityBox(base, pre *System) *System {
 		name:  base.name + " <] " + pre.name,
 		space: base.space,
 		n:     base.n,
-		succ:  make([][]int, base.n),
+		off:   make([]int, base.n+1),
 	}
 	if out.space == nil {
 		out.space = pre.space
 	}
 	for s := 0; s < base.n; s++ {
-		if len(pre.succ[s]) > 0 {
-			out.succ[s] = pre.succ[s]
-		} else {
-			out.succ[s] = base.succ[s]
+		ts := pre.Succ(s)
+		if len(ts) == 0 {
+			ts = base.Succ(s)
 		}
-		out.nT += len(out.succ[s])
+		out.to = append(out.to, ts...)
+		out.off[s+1] = len(out.to)
 	}
 	init := base.init.Clone()
 	init.UnionWith(pre.init)

@@ -87,6 +87,13 @@ func (sp *Space) NumVars() int { return len(sp.vars) }
 // Var returns the i-th variable.
 func (sp *Space) Var(i int) Var { return sp.vars[i] }
 
+// Card returns the cardinality of the i-th variable.
+func (sp *Space) Card(i int) int { return sp.vars[i].Card }
+
+// Stride returns the i-th variable's place value in the state index:
+// changing its value by d moves the index by d × Stride(i).
+func (sp *Space) Stride(i int) int { return sp.strides[i] }
+
 // VarIndex returns the index of the named variable and whether it exists.
 func (sp *Space) VarIndex(name string) (int, bool) {
 	i, ok := sp.index[name]

@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -13,24 +14,43 @@ import (
 // related by T (finite computations end in states with no outgoing
 // transition).
 //
-// Systems are immutable once built; construct them with a Builder or with
-// Enumerate.
+// T is stored flat: the successors of s are to[off[s]:off[s+1]], sorted
+// and duplicate-free, so a whole automaton is two slices however many
+// states it has.
+//
+// Systems are immutable once built; construct them with a Builder, with
+// Enumerate, or with FromSuccessors.
 type System struct {
 	name  string
 	space *Space // may be nil for raw index-based systems
 	n     int
-	succ  [][]int
+	off   []int // n+1 offsets into to
+	to    []int
 	init  *bitset.Set
-	nT    int
 }
 
-// Builder accumulates transitions and initial states for a System.
+// FromSuccessors wraps flat successor storage as a System over sp: the
+// successors of state s are to[off[s]:off[s+1]], which the caller must
+// have sorted and deduplicated. off must hold sp.Size()+1 nondecreasing
+// offsets starting at 0 and ending at len(to). The System takes
+// ownership of off, to and init.
+func FromSuccessors(name string, sp *Space, off, to []int, init *bitset.Set) *System {
+	n := sp.Size()
+	if len(off) != n+1 || off[0] != 0 || off[n] != len(to) || init.Len() != n {
+		panic(fmt.Sprintf("system: FromSuccessors(%q): %d offsets, %d successors, init over %d for %d states",
+			name, len(off), len(to), init.Len(), n))
+	}
+	return &System{name: name, space: sp, n: n, off: off, to: to, init: init}
+}
+
+// Builder accumulates transitions and initial states for a System. It
+// keeps an edge list; Build sorts it into the flat successor storage.
 type Builder struct {
-	name  string
-	space *Space
-	n     int
-	succ  []map[int]struct{}
-	init  *bitset.Set
+	name     string
+	space    *Space
+	n        int
+	from, to []int
+	init     *bitset.Set
 }
 
 // NewBuilder returns a builder for a system over the raw state space [0, n).
@@ -41,7 +61,6 @@ func NewBuilder(name string, n int) *Builder {
 	return &Builder{
 		name: name,
 		n:    n,
-		succ: make([]map[int]struct{}, n),
 		init: bitset.New(n),
 	}
 }
@@ -63,10 +82,8 @@ func (b *Builder) checkState(s int) {
 func (b *Builder) AddTransition(s, t int) {
 	b.checkState(s)
 	b.checkState(t)
-	if b.succ[s] == nil {
-		b.succ[s] = make(map[int]struct{})
-	}
-	b.succ[s][t] = struct{}{}
+	b.from = append(b.from, s)
+	b.to = append(b.to, t)
 }
 
 // AddInit marks s as an initial state.
@@ -78,28 +95,61 @@ func (b *Builder) AddInit(s int) {
 // Wrappers add no initial states at all: a Builder with no AddInit calls
 // yields a system with I = ∅, the wrapper convention used by Box.
 
-// Build freezes the builder into an immutable System.
+// Build freezes the builder into an immutable System: a counting sort of
+// the edge list by source state, then a sort and dedup of each state's
+// successors.
 func (b *Builder) Build() *System {
-	sys := &System{
+	off := make([]int, b.n+1)
+	for _, s := range b.from {
+		off[s+1]++
+	}
+	for s := 0; s < b.n; s++ {
+		off[s+1] += off[s]
+	}
+	to := make([]int, len(b.to))
+	next := make([]int, b.n)
+	copy(next, off)
+	for i, s := range b.from {
+		to[next[s]] = b.to[i]
+		next[s]++
+	}
+	w, lo := 0, 0
+	for s := 0; s < b.n; s++ {
+		hi := off[s+1]
+		ts := to[lo:hi]
+		sortSmall(ts)
+		off[s] = w
+		for i, t := range ts {
+			if i == 0 || t != ts[i-1] {
+				to[w] = t
+				w++
+			}
+		}
+		lo = hi
+	}
+	off[b.n] = w
+	return &System{
 		name:  b.name,
 		space: b.space,
 		n:     b.n,
-		succ:  make([][]int, b.n),
+		off:   off,
+		to:    to[:w:w],
 		init:  b.init.Clone(),
 	}
-	for s, set := range b.succ {
-		if len(set) == 0 {
-			continue
-		}
-		ts := make([]int, 0, len(set))
-		for t := range set {
-			ts = append(ts, t)
-		}
+}
+
+// sortSmall sorts a state's successors: insertion sort for the handful
+// of actions a guarded-command system has, sort.Ints beyond that.
+func sortSmall(ts []int) {
+	if len(ts) > 12 {
 		sort.Ints(ts)
-		sys.succ[s] = ts
-		sys.nT += len(ts)
+		return
 	}
-	return sys
+	for i := 1; i < len(ts); i++ {
+		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
+			ts[j], ts[j-1] = ts[j-1], ts[j]
+		}
+	}
 }
 
 // Name returns the system's display name.
@@ -112,23 +162,26 @@ func (sys *System) Space() *Space { return sys.space }
 func (sys *System) NumStates() int { return sys.n }
 
 // NumTransitions returns |T|.
-func (sys *System) NumTransitions() int { return sys.nT }
+func (sys *System) NumTransitions() int { return len(sys.to) }
 
 // Succ returns the successors of s in increasing order. The returned slice
 // is owned by the System and must not be modified; it is shared rather than
 // copied because Succ is the hot path of every reachability sweep.
-func (sys *System) Succ(s int) []int { return sys.succ[s] }
+func (sys *System) Succ(s int) []int {
+	lo, hi := sys.off[s], sys.off[s+1]
+	return sys.to[lo:hi:hi]
+}
 
 // HasTransition reports whether (s, t) ∈ T.
 func (sys *System) HasTransition(s, t int) bool {
-	ts := sys.succ[s]
+	ts := sys.Succ(s)
 	i := sort.SearchInts(ts, t)
 	return i < len(ts) && ts[i] == t
 }
 
 // Terminal reports whether s has no outgoing transition (computations
 // reaching s are finite and end there).
-func (sys *System) Terminal(s int) bool { return len(sys.succ[s]) == 0 }
+func (sys *System) Terminal(s int) bool { return sys.off[s] == sys.off[s+1] }
 
 // Init returns a copy of the initial-state set.
 func (sys *System) Init() *bitset.Set { return sys.init.Clone() }
@@ -150,7 +203,7 @@ func (sys *System) StateString(s int) string {
 
 // String summarizes the automaton.
 func (sys *System) String() string {
-	return fmt.Sprintf("%s: |Σ|=%d |T|=%d |I|=%d", sys.name, sys.n, sys.nT, sys.init.Count())
+	return fmt.Sprintf("%s: |Σ|=%d |T|=%d |I|=%d", sys.name, sys.n, len(sys.to), sys.init.Count())
 }
 
 // Rename returns a shallow copy of sys with a different display name.
@@ -179,25 +232,15 @@ func (sys *System) WithInit(states []int) *System {
 // sequences of state *changes*.
 func (sys *System) StripSelfLoops() *System {
 	c := *sys
-	c.succ = make([][]int, sys.n)
-	c.nT = 0
+	c.off = make([]int, sys.n+1)
+	c.to = make([]int, 0, len(sys.to))
 	for s := 0; s < sys.n; s++ {
-		ts := sys.succ[s]
-		keep := ts
-		for i, t := range ts {
-			if t == s {
-				keep = make([]int, 0, len(ts)-1)
-				keep = append(keep, ts[:i]...)
-				for _, u := range ts[i+1:] {
-					if u != s {
-						keep = append(keep, u)
-					}
-				}
-				break
+		for _, t := range sys.Succ(s) {
+			if t != s {
+				c.to = append(c.to, t)
 			}
 		}
-		c.succ[s] = keep
-		c.nT += len(keep)
+		c.off[s+1] = len(c.to)
 	}
 	return &c
 }
@@ -206,21 +249,7 @@ func (sys *System) StripSelfLoops() *System {
 // have exactly the same transition relation. Used by the derivations to
 // check claims of the form "the composed system IS Dijkstra's system".
 func TransitionsEqual(a, b *System) bool {
-	if a.n != b.n || a.nT != b.nT {
-		return false
-	}
-	for s := 0; s < a.n; s++ {
-		as, bs := a.succ[s], b.succ[s]
-		if len(as) != len(bs) {
-			return false
-		}
-		for i := range as {
-			if as[i] != bs[i] {
-				return false
-			}
-		}
-	}
-	return true
+	return a.n == b.n && slices.Equal(a.off, b.off) && slices.Equal(a.to, b.to)
 }
 
 // Equal reports whether two systems have identical state spaces, transition
@@ -234,7 +263,7 @@ func Equal(a, b *System) bool {
 func DiffTransitions(a, b *System, max int) [][2]int {
 	var out [][2]int
 	for s := 0; s < a.n; s++ {
-		for _, t := range a.succ[s] {
+		for _, t := range a.Succ(s) {
 			if !b.HasTransition(s, t) {
 				out = append(out, [2]int{s, t})
 				if max > 0 && len(out) >= max {
